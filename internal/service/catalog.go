@@ -150,8 +150,7 @@ func buildDatabase(req RegisterRequest) (*schema.Database, error) {
 
 func (s *Server) decodeRegistration(w http.ResponseWriter, r *http.Request, pathName string) (catalog.Registration, bool) {
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
+	if !decodeJSON(w, r, &req) {
 		return catalog.Registration{}, false
 	}
 	if pathName != "" {

@@ -367,43 +367,29 @@ func TestTenantJobs(t *testing.T) {
 	}
 }
 
-// TestLegacyAliases pins the deprecation contract: the unversioned paths
-// answer exactly like their /v1 successors and advertise the successor.
+// TestLegacyAliases pins the removal of the unversioned aliases: the old
+// paths are gone (404) while the /v1 routes keep their method guards (405).
 func TestLegacyAliases(t *testing.T) {
 	srv, _ := catalogTestServer(t)
-	aliases := []struct {
-		method, old, successor string
-		body                   any
+	for _, old := range []struct {
+		method, path string
+		body         any
 	}{
-		{http.MethodGet, "/databases", "/v1/databases", nil},
-		{http.MethodPost, "/translate", "/v1/translate", TranslateRequest{Database: "ghost", Question: "x"}},
-		{http.MethodPost, "/execute", "/v1/execute", ExecuteRequest{Database: "ghost", SQL: "SELECT 1 FROM x"}},
-	}
-	for _, a := range aliases {
-		oldResp := doJSON(t, a.method, srv.URL+a.old, a.body, nil)
-		newResp := doJSON(t, a.method, srv.URL+a.successor, a.body, nil)
-		if oldResp.StatusCode != newResp.StatusCode {
-			t.Errorf("%s %s: status %d != successor %d", a.method, a.old, oldResp.StatusCode, newResp.StatusCode)
-		}
-		if oldResp.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s %s: missing Deprecation header", a.method, a.old)
-		}
-		if got := oldResp.Header.Get("Link"); got != "<"+a.successor+`>; rel="successor-version"` {
-			t.Errorf("%s %s: Link = %q", a.method, a.old, got)
-		}
-		if newResp.Header.Get("Deprecation") != "" {
-			t.Errorf("%s: successor wrongly marked deprecated", a.successor)
+		{http.MethodGet, "/databases", nil},
+		{http.MethodPost, "/translate", TranslateRequest{Database: "ghost", Question: "x"}},
+		{http.MethodPost, "/execute", ExecuteRequest{Database: "ghost", SQL: "SELECT 1 FROM x"}},
+	} {
+		if resp := doJSON(t, old.method, srv.URL+old.path, old.body, nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", old.method, old.path, resp.StatusCode)
 		}
 	}
-	// Method guards hold on the aliases and the /v1 routes alike.
-	for _, path := range []string{"/translate", "/v1/translate", "/execute", "/v1/execute"} {
-		if resp := doJSON(t, http.MethodGet, srv.URL+path, nil, nil); resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("GET %s: status %d, want 405", path, resp.StatusCode)
-		}
-	}
-	for _, path := range []string{"/databases", "/v1/databases"} {
-		if resp := doJSON(t, http.MethodDelete, srv.URL+path, nil, nil); resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("DELETE %s: status %d, want 405", path, resp.StatusCode)
+	for _, guard := range []struct{ method, path string }{
+		{http.MethodGet, "/v1/translate"},
+		{http.MethodGet, "/v1/execute"},
+		{http.MethodDelete, "/v1/databases"},
+	} {
+		if resp := doJSON(t, guard.method, srv.URL+guard.path, nil, nil); resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status %d, want 405", guard.method, guard.path, resp.StatusCode)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -51,8 +50,7 @@ func (s *Server) handleFaultGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFaultSet(w http.ResponseWriter, r *http.Request) {
 	var req FaultSetRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	var cfg *llm.FaultConfig

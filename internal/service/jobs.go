@@ -140,8 +140,7 @@ func (s *Server) renderedResults(st jobs.Status) []BatchItem {
 
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	var req JobCreateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	// Link the job to this request's trace (inert when unsampled): the

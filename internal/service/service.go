@@ -7,6 +7,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strings"
 	"sync"
@@ -22,6 +23,11 @@ import (
 	"repro/internal/sqlexec"
 	"repro/internal/trace"
 )
+
+// maxBodyBytes caps a request body at the size the router buffers for
+// retry/hedge replay, so a shard never reads more than a proxied request
+// can carry.
+const maxBodyBytes = 32 << 20
 
 // defaultMaxBatch caps how many tasks one /v1/batch or /v1/jobs request may
 // carry; larger requests are rejected with 413 so a single caller cannot
@@ -196,10 +202,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // Handler returns the route table. Every endpoint lives under /v1 with
-// method guards enforced by the mux; the original unversioned paths
-// (/databases, /translate, /execute) remain as deprecated aliases that
-// answer identically while advertising their successor via Deprecation and
-// Link headers.
+// method guards enforced by the mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// handle wraps every route in the metrics middleware (a no-op when
@@ -237,9 +240,6 @@ func (s *Server) Handler() http.Handler {
 		handle("GET /v1/jobs/{id}", s.handleJobGet)
 		handle("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	}
-	handle("GET /databases", deprecated("/v1/databases", s.handleDatabases))
-	handle("POST /translate", deprecated("/v1/translate", s.handleTranslate))
-	handle("POST /execute", deprecated("/v1/execute", s.handleExecute))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		w.Write([]byte("ok"))
@@ -253,14 +253,21 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// deprecated wraps a legacy alias: same behavior as the /v1 handler, plus
-// RFC 8594-style headers pointing clients at the successor path.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
+// decodeJSON decodes the request body into v, reading at most maxBodyBytes.
+// On failure it answers 413 for an oversized body and 400 for anything
+// else, and returns false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
 	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		return false
+	}
+	http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
+	return false
 }
 
 // lookupTasks resolves task IDs to dev examples, writing a 404 and
@@ -340,8 +347,7 @@ type TranslateResponse struct {
 
 func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 	var req TranslateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	switch {
@@ -425,8 +431,7 @@ type BatchResponse struct {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 
@@ -574,8 +579,7 @@ type ExecuteResponse struct {
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	var req ExecuteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	// Tenant databases execute through their snapshot's own plan cache, so

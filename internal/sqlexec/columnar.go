@@ -13,12 +13,10 @@ import (
 // This file is the columnar batch-at-a-time execution pipeline: scan, join
 // and filter operators over colBatch (vector.go) driving the compiled
 // kernels (kernels.go), plus vectorized projection and grouping. Every plan
-// compiles a columnar pipeline unless PlanOptions.RowEngine asks for the
-// row-at-a-time operators; both engines share the planner, the optimizer
-// decisions and the compiled row closures, which the columnar pipeline falls
-// back to wherever an expression is not provably error-free.
+// compiles to this pipeline; it falls back to the compiled row closures
+// (eval.go) wherever an expression is not provably error-free.
 //
-// Error-ordering contract: the row engine evaluates a row's conjuncts (and
+// Error-ordering contract: the row closures evaluate a row's conjuncts (and
 // projection items) left to right, row by row. Column-at-a-time evaluation
 // of two error-capable expressions could surface a different first error, so
 // the pipeline only vectorizes the prefix of conjuncts before the first
@@ -344,11 +342,14 @@ func (b *colBatch) refineErr(f func(int32) (bool, error)) error {
 	return nil
 }
 
-// colJoinNode mirrors joinNode: hash build over the right side with chained
-// ordinals (emission order identical to the row engine: left rows in order,
-// matches in right-relation order), NaN degradation to the nested loop, and
-// the degenerate filtered nested loop. Output columns are gathered once per
-// column instead of once per row.
+// colJoinNode joins the left input with a base-table scan. Normalized
+// equi-joins (keys on opposite sides) hash-build over the right side with
+// chained ordinals unless the plan forces a nested loop; emission order is
+// the nested loop's (left rows in order, matches in right-relation order),
+// so plans are byte-identical across join paths. NaN build keys degrade to
+// the nested loop; degenerate ON clauses (both key columns on one side)
+// always run the filtered nested loop. Output columns are pruned to the
+// kept ones and gathered once per column instead of once per row.
 type colJoinNode struct {
 	left         colNode
 	right        *colScanNode
@@ -416,7 +417,7 @@ func (j *colJoinNode) execDegenerate(lb, rb *colBatch, emit func(l, r int32)) {
 
 // buildHasNaN reports a non-null NaN among the build keys — the one value
 // hash lookup cannot express (Equal treats NaN as equal to every number), so
-// the whole join degrades to the nested loop, exactly like the row engine.
+// the whole join degrades to the nested loop.
 func buildHasNaN(rb *colBatch, key int) bool {
 	v := rb.cols[key]
 	for i, n := 0, rb.len(); i < n; i++ {
@@ -616,8 +617,8 @@ func (j *colJoinNode) execNested(lb, rb *colBatch, emit func(l, r int32)) {
 
 // colFilterNode applies the residual conjuncts: the error-free prefix as
 // kernels (or lane-at-a-time row closures), then everything from the first
-// error-capable conjunct on as one fused row-major loop — preserving the
-// row engine's first-error exactly.
+// error-capable conjunct on as one fused row-major loop over the row
+// closures — preserving their written-order first error exactly.
 type colFilterNode struct {
 	child colNode
 	vecs  []colPredPlan
@@ -772,7 +773,7 @@ func (g gvFromBool) eval(gc *groupCtx) []schema.Value {
 // gvAgg is a vectorized aggregate over an error-free argument, accumulated
 // in one pass over the live lanes (lane order = group row order, so
 // DISTINCT first-seen dedup and MIN/MAX first-value seeding match the row
-// engine exactly, NaN never replacing an established best included).
+// closures exactly, NaN never replacing an established best included).
 type gvAgg struct {
 	fn       string
 	distinct bool
@@ -991,7 +992,7 @@ func evalGroupCols(items []gval, gc *groupCtx, surv []int32) [][]schema.Value {
 // buildGroups assigns a group id to every live lane. Explicit grouping keys
 // use the exact rowKey encoding (lower-cased String() joined with \x1f) so
 // that key collisions — NULL vs the string "null", distinct floats that
-// render identically at 12 digits — group exactly as the row engine does.
+// render identically at 12 digits — group exactly as rowsSelect does.
 func (cg *colGroup) buildGroups(b *colBatch) *groupCtx {
 	live := b.len()
 	gc := &groupCtx{b: b}
@@ -1150,29 +1151,4 @@ func buildColGroup(sel *sqlir.Select, p *selectPlan, cc *colComp) *colGroup {
 		g.keys = append(g.keys, gv)
 	}
 	return g
-}
-
-// colPlan is the columnar execution form of one SELECT block, compiled
-// alongside the row operators from the same logical plan.
-type colPlan struct {
-	input colNode
-	proj  *colProj  // non-nil: vectorized ungrouped projection
-	grp   *colGroup // non-nil: vectorized grouped projection
-}
-
-func (cp *colPlan) selectOne(ctx *execCtx, p *selectPlan) (*Result, error) {
-	b, err := cp.input.exec(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if p.explicitGroup || p.implicitAgg {
-		if cp.grp != nil {
-			return cp.grp.run(p, b)
-		}
-		return p.rowsSelect(ctx, b.rows())
-	}
-	if cp.proj != nil {
-		return cp.proj.run(p, b)
-	}
-	return p.rowsSelect(ctx, b.rows())
 }

@@ -18,11 +18,11 @@ import (
 // scans, sort-based dedup — no hash joins, no memoization, no working-set
 // reuse) plus tests asserting the engine and the reference produce
 // identical results on every corpus gold query and on hundreds of
-// randomized queries. Every query runs through FOUR physical paths — the
-// columnar engine and the row engine, each under the fully optimized plan
-// (hash joins, pushdown, hash IN sets, folding) and the Unoptimized() plan
-// (forced nested loops, no rewrites) — and each must agree with the
-// reference; between the engines, error strings must match exactly. Future
+// randomized queries. Every query runs through both plan shapes — the fully
+// optimized plan (hash joins, pushdown, hash IN sets, folding) and the
+// Unoptimized() plan (forced nested loops, no rewrites). Each must agree
+// with the reference on results and on the sentinel class of any error;
+// between the two shapes, error strings must match exactly. Future
 // executor optimizations must keep beating this oracle.
 
 // ---- reference evaluator ----
@@ -931,72 +931,74 @@ func sameResult(got, want *Result) string {
 	return ""
 }
 
-// rowEngine flips one option set onto the row-at-a-time execution path,
-// keeping every optimizer setting intact.
-func rowEngine(o PlanOptions) PlanOptions {
-	o.RowEngine = true
-	return o
-}
-
-// diffPaths is every physical path a query can take: the columnar engine and
-// the row engine, each under the fully optimized plan and the forced
-// nested-loop/unoptimized plan.
+// diffPaths is every physical path a query can take: the fully optimized
+// plan and the forced nested-loop/unoptimized plan.
 var diffPaths = []struct {
 	name string
 	opts PlanOptions
 }{
 	{"columnar", PlanOptions{}},
 	{"columnar-nested-loop", Unoptimized()},
-	{"row", rowEngine(PlanOptions{})},
-	{"row-nested-loop", rowEngine(Unoptimized())},
 }
 
-// diffOne runs one query through all four physical paths (columnar and row
-// engine, optimized and nested-loop) plus the reference evaluator, and
-// demands agreement on both errors and results. Between the two engines the
-// bar is higher than against the reference: error strings must match
+// errClass is the sentinel an execution error wraps, the granularity at
+// which the engine and the reference must agree: their messages name the
+// offending column differently (the engine keeps the written qualifier,
+// "no such column: v.A0" where the reference says "no such column: A0").
+func errClass(err error) string {
+	if err == nil {
+		return "none"
+	}
+	for _, s := range []error{ErrUnknownTable, ErrUnknownColumn, ErrUnknownFunction, ErrAmbiguousColumn, ErrAggArity} {
+		if errors.Is(err, s) {
+			return s.Error()
+		}
+	}
+	return "other"
+}
+
+// oracle runs one query through both diffPaths and the reference evaluator
+// and returns every disagreement plus the reference's error. Against the
+// reference, each path must match the error class and (on success) the
+// exact result, so the two plan shapes' results also match each other.
+// Between the two shapes the error bar is higher: error strings must match
 // EXACTLY, pinning the lazy-error ordering the columnar kernels must
 // preserve (which error fires first is observable whenever a row carries
 // more than one fault).
-func diffOne(t *testing.T, db *schema.Database, sel *sqlir.Select) (ok, executed bool) {
-	t.Helper()
+func oracle(db *schema.Database, sel *sqlir.Select) (fails []string, refErr error) {
 	want, wantErr := refExec(db, sel)
-	sql := ""
-	lazySQL := func() string {
-		if sql == "" {
-			sql = sqlir.String(sel)
-		}
-		return sql
-	}
-	ok = true
 	errs := make([]error, len(diffPaths))
 	for pi, path := range diffPaths {
 		got, gotErr := ExecOptions(db, sel, path.opts)
 		errs[pi] = gotErr
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Errorf("[%s] error disagreement on %q\n  engine: %v\n  ref:    %v", path.name, lazySQL(), gotErr, wantErr)
-			ok = false
+		if gc, wc := errClass(gotErr), errClass(wantErr); gc != wc {
+			fails = append(fails, fmt.Sprintf("[%s] error class %s, ref %s\n  engine: %v\n  ref:    %v", path.name, gc, wc, gotErr, wantErr))
 			continue
 		}
 		if gotErr != nil {
 			continue
 		}
 		if msg := sameResult(got, want); msg != "" {
-			t.Errorf("[%s] result divergence on %q (db %s): %s", path.name, lazySQL(), db.Name, msg)
-			ok = false
+			fails = append(fails, fmt.Sprintf("[%s] result divergence from ref (db %s): %s", path.name, db.Name, msg))
 		}
 	}
-	// Cross-engine error identity: columnar vs row under the same plan
-	// shape must produce the very same error text.
-	for pi := 0; pi < 2; pi++ {
-		ce, re := errs[pi], errs[pi+2]
-		if (ce == nil) != (re == nil) || (ce != nil && ce.Error() != re.Error()) {
-			t.Errorf("engine error mismatch on %q\n  %s: %v\n  %s: %v",
-				lazySQL(), diffPaths[pi].name, ce, diffPaths[pi+2].name, re)
-			ok = false
+	if a, b := errs[0], errs[1]; (a == nil) != (b == nil) || (a != nil && a.Error() != b.Error()) {
+		fails = append(fails, fmt.Sprintf("plan-shape error mismatch\n  %s: %v\n  %s: %v", diffPaths[0].name, a, diffPaths[1].name, b))
+	}
+	return fails, wantErr
+}
+
+// diffOne reports every oracle disagreement on one query as a test error.
+func diffOne(t *testing.T, db *schema.Database, sel *sqlir.Select) (ok, executed bool) {
+	t.Helper()
+	fails, refErr := oracle(db, sel)
+	if len(fails) > 0 {
+		sql := sqlir.String(sel)
+		for _, f := range fails {
+			t.Errorf("%s\n  on %q", f, sql)
 		}
 	}
-	return ok, wantErr == nil
+	return len(fails) == 0, refErr == nil
 }
 
 // TestDifferentialGoldQueries runs every gold query the sampler produces
@@ -1231,8 +1233,10 @@ func (g *qgen) query() *sqlir.Select {
 
 // TestDifferentialDirectedCases covers corners the random generator does
 // not reach: IN lists with non-literal, error-capable members (evaluation
-// order of the member list is observable through errors) and bare-column
-// predicates (boolean-context errors interacting with pushdown).
+// order of the member list is observable through errors), bare-column
+// predicates (boolean-context errors interacting with pushdown), and rows
+// carrying two faults of different classes, which pin first-error order
+// against the reference.
 func TestDifferentialDirectedCases(t *testing.T) {
 	c := spider.GenerateSmall(123, 0.08)
 	for _, db := range c.Dev.Databases {
@@ -1270,6 +1274,30 @@ func TestDifferentialDirectedCases(t *testing.T) {
 		}
 		for _, sel := range cases {
 			diffOne(t, db, sel)
+		}
+
+		// Two faults of different sentinel classes on every row, in both
+		// orders: the first as written must win, on both plan shapes and
+		// in the reference.
+		noCol, noFn := ErrUnknownColumn.Error(), ErrUnknownFunction.Error()
+		for _, tc := range []struct{ q, first string }{
+			{"SELECT %[2]s FROM %[1]s WHERE nosuch = 1 AND FOO(%[2]s) = 1", noCol},
+			{"SELECT %[2]s FROM %[1]s WHERE FOO(%[2]s) = 1 AND nosuch = 1", noFn},
+			{"SELECT %[2]s FROM %[1]s WHERE %[2]s IN (FOO(%[2]s), nosuch)", noFn},
+			{"SELECT %[2]s FROM %[1]s WHERE %[2]s IN (nosuch, FOO(%[2]s))", noCol},
+			{"SELECT FOO(%[2]s), nosuch FROM %[1]s", noFn},
+			{"SELECT nosuch, FOO(%[2]s) FROM %[1]s", noCol},
+			{"SELECT %[2]s FROM %[1]s GROUP BY nosuch HAVING FOO(%[2]s) > 1", noCol},
+		} {
+			sql := fmt.Sprintf(tc.q, tbl.Name, numCol)
+			sel, err := sqlir.Parse(sql)
+			if err != nil {
+				t.Fatalf("parse %q: %v", sql, err)
+			}
+			diffOne(t, db, sel)
+			if _, refErr := refExec(db, sel); len(tbl.Rows) > 0 && errClass(refErr) != tc.first {
+				t.Errorf("%q on %s: first error %v, want class %q", sql, db.Name, refErr, tc.first)
+			}
 		}
 	}
 }

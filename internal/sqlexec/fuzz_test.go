@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/spider"
@@ -8,13 +9,12 @@ import (
 )
 
 // FuzzExecDifferential feeds arbitrary SQL through the parser and, for
-// whatever parses, executes it on a fixed corpus database under both
-// engines (columnar and row-at-a-time) in both plan shapes (optimized and
-// forced nested-loop). Any divergence — result rows, canonical encoding,
-// ordered flag, or the exact error string — is a crash. The engines share
-// the planner and the semantic contract, so there is no benign reason for
-// them to disagree; this is the moving fence around the vectorized kernels'
-// lazy-error ordering.
+// whatever parses, runs the differential oracle (diff_test.go) on a fixed
+// corpus database: the optimized and forced nested-loop plans must agree
+// exactly on result rows, canonical encoding, ordered flag and error
+// string, and each must agree with the reference evaluator on results and
+// error class. Any divergence is a crash. This is the moving fence around
+// the vectorized kernels' lazy-error ordering.
 func FuzzExecDifferential(f *testing.F) {
 	for _, s := range []string{
 		"SELECT * FROM t",
@@ -52,20 +52,8 @@ func FuzzExecDifferential(f *testing.F) {
 		// Spread parsed inputs across the corpus databases so table and
 		// column names resolve under more than one schema.
 		db := dbs[len(input)%len(dbs)]
-		for _, opts := range []PlanOptions{{}, Unoptimized()} {
-			cRes, cErr := ExecOptions(db, sel, opts)
-			rRes, rErr := ExecOptions(db, sel, rowEngine(opts))
-			if (cErr == nil) != (rErr == nil) || (cErr != nil && cErr.Error() != rErr.Error()) {
-				t.Fatalf("engine error divergence on %q (db %s, nested-loop=%v)\n  columnar: %v\n  row:      %v",
-					input, db.Name, opts.ForceNestedLoop, cErr, rErr)
-			}
-			if cErr != nil {
-				continue
-			}
-			if msg := sameResult(cRes, rRes); msg != "" {
-				t.Fatalf("engine result divergence on %q (db %s, nested-loop=%v): %s",
-					input, db.Name, opts.ForceNestedLoop, msg)
-			}
+		if fails, _ := oracle(db, sel); len(fails) > 0 {
+			t.Fatalf("differential divergence on %q (db %s):\n%s", input, db.Name, strings.Join(fails, "\n"))
 		}
 	})
 }
