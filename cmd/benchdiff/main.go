@@ -9,11 +9,17 @@
 // Usage:
 //
 //	benchdiff -baseline BENCH_executor.json -current /tmp/new.json
+//	benchdiff -baseline BENCH_executor.json -current run1.json,run2.json,run3.json
 //	benchdiff -baseline ... -current ... -threshold 0.30 -allow exec_group_by,prepared_reexec_ts
 //	benchdiff -baseline ... -current ... -min-ns 500 -max-allocs-growth 0.10
 //
 // Semantics:
 //
+//   - -current takes one document or a comma-separated list of runs of the
+//     same set. Each benchmark is then gated on its median ns/op and median
+//     allocs/op over the runs that measured it, so one run slowed by a
+//     noisy host cannot fail the gate on its own. A single document is
+//     gated as it stands.
 //   - A benchmark present in both documents with current ns/op more than
 //     (1+threshold)× the baseline is a regression — unless it is named in
 //     -allow (the escape hatch for intentional changes; note WHY in the PR).
@@ -31,7 +37,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"sort"
 	"strings"
 
 	"repro/internal/benchfmt"
@@ -40,7 +48,7 @@ import (
 func main() {
 	var (
 		baselinePath = flag.String("baseline", "", "committed baseline BENCH_*.json (required)")
-		currentPath  = flag.String("current", "", "freshly produced BENCH_*.json (required)")
+		currentPath  = flag.String("current", "", "freshly produced BENCH_*.json, or a comma-separated list of runs gated on their medians (required)")
 		threshold    = flag.Float64("threshold", 0.30, "maximum tolerated ns/op growth as a fraction (0.30 = +30%)")
 		allowList    = flag.String("allow", "", "comma-separated benchmark names exempt from the gate (intentional changes)")
 		minNs        = flag.Float64("min-ns", 500, "skip gating benchmarks whose baseline ns/op is below this floor (jitter guard); they are still reported")
@@ -57,11 +65,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	cur, err := benchfmt.ReadFile(*currentPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+	var runs []*benchfmt.Report
+	for _, path := range strings.Split(*currentPath, ",") {
+		run, err := benchfmt.ReadFile(strings.TrimSpace(path))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchdiff:", err)
+			os.Exit(2)
+		}
+		runs = append(runs, run)
 	}
+	cur := Median(runs)
 	allow := map[string]bool{}
 	for _, name := range strings.Split(*allowList, ",") {
 		if name = strings.TrimSpace(name); name != "" {
@@ -88,7 +101,47 @@ func main() {
 			"if intentional, pass -allow and justify it in the PR\n", failed, *threshold*100)
 		os.Exit(1)
 	}
-	fmt.Printf("\nbenchdiff: ok (%d compared, gate %.0f%%)\n", len(deltas), *threshold*100)
+	over := ""
+	if len(runs) > 1 {
+		over = fmt.Sprintf(", medians of %d runs", len(runs))
+	}
+	fmt.Printf("\nbenchdiff: ok (%d compared%s, gate %.0f%%)\n", len(deltas), over, *threshold*100)
+}
+
+// Median folds runs of one benchmark set into a single report. Each
+// benchmark carries the median of every measured field over the runs that
+// measured it (the mean of the middle two for an even count), in order of
+// first appearance. One run comes back unchanged.
+func Median(runs []*benchfmt.Report) *benchfmt.Report {
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	out := &benchfmt.Report{Header: runs[0].Header, Short: runs[0].Short}
+	byName := map[string][]benchfmt.Result{}
+	for _, run := range runs {
+		for _, b := range run.Benchmarks {
+			if _, ok := byName[b.Name]; !ok {
+				out.Benchmarks = append(out.Benchmarks, benchfmt.Result{Name: b.Name})
+			}
+			byName[b.Name] = append(byName[b.Name], b)
+		}
+	}
+	for i := range out.Benchmarks {
+		rs := byName[out.Benchmarks[i].Name]
+		field := func(get func(benchfmt.Result) float64) float64 {
+			vs := make([]float64, len(rs))
+			for j, r := range rs {
+				vs[j] = get(r)
+			}
+			sort.Float64s(vs)
+			return (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2
+		}
+		out.Benchmarks[i].Iterations = int(field(func(r benchfmt.Result) float64 { return float64(r.Iterations) }))
+		out.Benchmarks[i].NsPerOp = field(func(r benchfmt.Result) float64 { return r.NsPerOp })
+		out.Benchmarks[i].AllocsPerOp = int64(math.Round(field(func(r benchfmt.Result) float64 { return float64(r.AllocsPerOp) })))
+		out.Benchmarks[i].BytesPerOp = int64(math.Round(field(func(r benchfmt.Result) float64 { return float64(r.BytesPerOp) })))
+	}
+	return out
 }
 
 func fmtNs(v float64) string {

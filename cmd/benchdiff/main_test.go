@@ -123,3 +123,79 @@ func TestCompareAllocsGateZeroBaseline(t *testing.T) {
 		t.Errorf("allowlisted benchmark must not fail the allocs gate: %+v", d)
 	}
 }
+
+func TestMedian(t *testing.T) {
+	cases := []struct {
+		name       string
+		runs       []*benchfmt.Report
+		wantNs     map[string]float64
+		wantAllocs map[string]int64
+	}{
+		{
+			name: "odd count takes the middle run",
+			runs: []*benchfmt.Report{
+				report(res("a", 100, 10)), report(res("a", 300, 30)), report(res("a", 200, 11)),
+			},
+			wantNs:     map[string]float64{"a": 200},
+			wantAllocs: map[string]int64{"a": 11},
+		},
+		{
+			name: "even count averages the middle two",
+			runs: []*benchfmt.Report{
+				report(res("a", 100, 10)), report(res("a", 1000, 13)),
+				report(res("a", 300, 12)), report(res("a", 200, 10)),
+			},
+			wantNs:     map[string]float64{"a": 250},
+			wantAllocs: map[string]int64{"a": 11},
+		},
+		{
+			name: "a benchmark missing from one run uses the runs that measured it",
+			runs: []*benchfmt.Report{
+				report(res("a", 100, 1), res("b", 900, 9)),
+				report(res("a", 120, 1)),
+				report(res("a", 110, 1), res("b", 700, 7)),
+			},
+			wantNs:     map[string]float64{"a": 110, "b": 800},
+			wantAllocs: map[string]int64{"a": 1, "b": 8},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := Median(c.runs)
+			if len(m.Benchmarks) != len(c.wantNs) {
+				t.Fatalf("median has %d benchmarks, want %d: %+v", len(m.Benchmarks), len(c.wantNs), m.Benchmarks)
+			}
+			for name, ns := range c.wantNs {
+				b, ok := m.Find(name)
+				if !ok {
+					t.Fatalf("median lost %s", name)
+				}
+				if b.NsPerOp != ns || b.AllocsPerOp != c.wantAllocs[name] {
+					t.Errorf("%s: median %v ns/op %d allocs/op, want %v / %d",
+						name, b.NsPerOp, b.AllocsPerOp, ns, c.wantAllocs[name])
+				}
+			}
+		})
+	}
+}
+
+func TestMedianSingleRunUnchanged(t *testing.T) {
+	run := report(res("b", 10000, 5), res("a", 123.5, 0))
+	if got := Median([]*benchfmt.Report{run}); got != run {
+		t.Errorf("a single run must be gated as it stands, got %+v", got)
+	}
+}
+
+func TestMedianGateIgnoresOneSlowRun(t *testing.T) {
+	// One run on a stalled host doubles ns/op; the median of three stays
+	// inside the gate, where that run alone would fail it.
+	base := report(res("b", 10000, 5))
+	runs := []*benchfmt.Report{report(res("b", 10500, 5)), report(res("b", 21000, 5)), report(res("b", 9800, 5))}
+	gate := Gate{Threshold: 0.30, MinNs: 500, MaxAllocsGrowth: 0.10}
+	if d := find(t, Compare(base, runs[1], gate), "b"); !d.Failed {
+		t.Fatalf("the slow run alone must fail: %+v", d)
+	}
+	if d := find(t, Compare(base, Median(runs), gate), "b"); d.Failed || d.CurNs != 10500 {
+		t.Errorf("median of three must pass at 10500 ns/op: %+v", d)
+	}
+}

@@ -8,6 +8,7 @@
 //	benchmarks -exp all -workers 8
 //	benchmarks -json [-short]       # executor/engine micro-benchmarks as JSON
 //	benchmarks -json -set catalog   # tenant-catalog micro-benchmarks as JSON
+//	benchmarks -json -set pipeline  # translate hot path, stage by stage, as JSON
 //
 // The -json mode runs a micro-benchmark set through testing.Benchmark and
 // emits one JSON document (ns/op, allocs/op, B/op per benchmark) on stdout.
@@ -21,7 +22,10 @@
 // (BENCH_router.json artifact); "trace" covers the request-tracing layer:
 // the recorded span lifecycle, the contractually allocation-free disabled
 // and unsampled paths, and W3C traceparent parse/inject
-// (BENCH_trace.json artifact). -short skips the
+// (BENCH_trace.json artifact); "pipeline" covers the PURPLE translate hot
+// path stage by stage at full corpus scale — selection, consistency vote,
+// prompt assembly and one whole translation (BENCH_pipeline.json
+// artifact). -short skips the
 // corpus-building benchmarks for CI latency; workload sizes are identical
 // either way so short and full numbers stay comparable.
 package main
@@ -32,12 +36,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"testing"
 	"time"
 
+	"repro/internal/adaption"
 	"repro/internal/benchfix"
 	"repro/internal/benchfmt"
 	"repro/internal/catalog"
@@ -45,8 +51,10 @@ import (
 	"repro/internal/eval"
 	"repro/internal/exp"
 	"repro/internal/llm"
+	"repro/internal/prompt"
 	"repro/internal/router"
 	"repro/internal/schema"
+	"repro/internal/selection"
 	"repro/internal/spider"
 	"repro/internal/sqlexec"
 	"repro/internal/sqlir"
@@ -61,7 +69,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "corpus and pipeline seed")
 		workers  = flag.Int("workers", 1, "translation worker pool size (>1 parallelizes; output is identical to -workers 1)")
 		jsonMode = flag.Bool("json", false, "emit micro-benchmark results as JSON and exit")
-		benchSet = flag.String("set", "executor", "with -json: benchmark set to run (executor|catalog|router|trace)")
+		benchSet = flag.String("set", "executor", "with -json: benchmark set to run (executor|catalog|router|trace|pipeline)")
 		short    = flag.Bool("short", false, "with -json: skip the corpus-building benchmarks (exec_ts_metric, engine_batch_translate); workload sizes are unchanged so numbers stay comparable")
 	)
 	flag.Parse()
@@ -77,8 +85,10 @@ func main() {
 			err = runRouterBenchmarks()
 		case "trace":
 			err = runTraceBenchmarks()
+		case "pipeline":
+			err = runPipelineBenchmarks()
 		default:
-			err = fmt.Errorf("unknown -set %q (want executor, catalog, router or trace)", *benchSet)
+			err = fmt.Errorf("unknown -set %q (want executor, catalog, router, trace or pipeline)", *benchSet)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -520,6 +530,76 @@ func runTraceBenchmarks() error {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				trace.Inject(ctx, h)
+			}
+		}},
+	}
+	return emitReport(false, benches)
+}
+
+// runPipelineBenchmarks measures the PURPLE translate hot path stage by
+// stage at the paper's full corpus scale, whose 8,659-demo training pool is
+// the one the dev-cold end-to-end workload serves. pipeline_select runs
+// Algorithm 1 with the whole pool as random fill; pipeline_vote is the
+// consistency vote over a 30-sample list (benchfix.VoteCandidates, shared
+// with internal/adaption's BenchmarkConsistencyVote); pipeline_prompt
+// assembles the 3,072-token prompt from a selected order over the whole
+// pool; pipeline_translate is one full translation. Selection, prompt and
+// translate cycle through the first 100 dev tasks, with predictions and
+// orders computed before the timer starts.
+func runPipelineBenchmarks() error {
+	fmt.Fprintln(os.Stderr, "building the full-scale corpus and pipeline...")
+	env := exp.NewEnv(1, 1)
+	p := env.Purple(llm.ChatGPT)
+	cfg := core.DefaultConfig()
+	dev := env.Corpus.Dev.Examples
+	if len(dev) > 100 {
+		dev = dev[:100]
+	}
+	pool := make([]int, len(p.Demos()))
+	for i := range pool {
+		pool[i] = i
+	}
+	preds := make([][][]string, len(dev))
+	orders := make([][]int, len(dev))
+	for i, e := range dev {
+		for _, pr := range p.Predictor().Predict(e.NL, cfg.TopK) {
+			preds[i] = append(preds[i], pr.Tokens)
+		}
+		orders[i] = selection.Select(p.Hierarchy(), preds[i], selection.Options{
+			Policy: cfg.Policy, Rng: rand.New(rand.NewSource(int64(e.ID))), FillPool: pool,
+		})
+	}
+	voteDB, votes := benchfix.VoteCandidates()
+
+	benches := []namedBench{
+		{"pipeline_select", func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				selection.Select(p.Hierarchy(), preds[i%len(dev)], selection.Options{
+					Policy: cfg.Policy, Rng: rng, FillPool: pool,
+				})
+			}
+		}},
+		{"pipeline_vote", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := adaption.Vote(voteDB, votes, true); !ok {
+					b.Fatal("vote found no executable candidate")
+				}
+			}
+		}},
+		{"pipeline_prompt", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e := dev[i%len(dev)]
+				prompt.BuildOrdered("", p.Demos(), orders[i%len(dev)], e.DB, e.NL, cfg.PromptTokens)
+			}
+		}},
+		{"pipeline_translate", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.Translate(dev[i%len(dev)])
 			}
 		}},
 	}

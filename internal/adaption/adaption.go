@@ -25,22 +25,36 @@ type Fixer struct {
 }
 
 // Adapt repairs a SQL string until it executes or attempts are exhausted.
-// It returns the (possibly rewritten) SQL and whether it now executes.
-// Executable input is returned unchanged — the no-side-effect guarantee.
+// It returns the SQL in canonical rendering (sqlir.String of the parsed
+// query) and whether it now executes. Input that already executes keeps its
+// meaning — the no-side-effect guarantee — though its spelling may change:
+// "select count(*) from t" comes back as "SELECT COUNT(*) FROM t".
+// Unparsable input is returned as given.
 func (f *Fixer) Adapt(sql string) (string, bool) {
+	fixed, res := f.adapt(sql)
+	return fixed, res != nil
+}
+
+// adapt is Adapt plus the result of the execution that succeeded (nil when
+// none did), so the vote can sign a candidate without executing it again.
+// Every attempt executes the parsed AST directly, outside sqlexec.Shared: a
+// sampled candidate that fails at run time would otherwise hold a cache
+// entry it never uses, and the vote's stream of distinct candidates would
+// evict the plans the repeat-execution call sites reuse.
+func (f *Fixer) adapt(sql string) (string, *sqlexec.Result) {
 	sel, err := sqlir.Parse(sql)
 	if err != nil {
-		return sql, false
+		return sql, nil
 	}
-	for attempt := 0; attempt < MaxAttempts; attempt++ {
-		if _, err := sqlexec.Exec(f.DB, sel); err == nil {
-			return sqlir.String(sel), true
-		} else if !f.fix(sel, err) {
-			return sqlir.String(sel), false
+	for attempt := 0; ; attempt++ {
+		res, err := sqlexec.Exec(f.DB, sel)
+		if err == nil {
+			return sqlir.String(sel), res
+		}
+		if attempt == MaxAttempts || !f.fix(sel, err) {
+			return sqlir.String(sel), nil
 		}
 	}
-	_, err = sqlexec.Exec(f.DB, sel)
-	return sqlir.String(sel), err == nil
 }
 
 // fix applies one repair for the classified error; it reports whether any
@@ -337,34 +351,42 @@ func minInt(a, b, c int) int {
 // result agrees with the majority result signature is returned. ok is false
 // when no candidate executes.
 //
-// Candidate execution goes through the shared plan cache: self-consistency
-// sampling routinely yields duplicate candidates within one vote (and
-// identical candidates across repair attempts), so most executions skip
-// parsing and planning.
+// Self-consistency sampling yields few distinct candidates (about four in
+// thirty on Spider dev), so each distinct candidate text is evaluated once
+// per vote and its outcome reused for every duplicate; with fix the
+// signature comes from the execution that made Adapt succeed. Without fix
+// a candidate executes through the shared plan cache, as the baselines
+// always have.
 func Vote(db *schema.Database, candidates []string, fix bool) (string, bool) {
 	f := &Fixer{DB: db}
-	type entry struct {
+	type outcome struct {
 		sql string
 		sig string
+		ok  bool
 	}
-	var entries []entry
+	memo := map[string]outcome{}
+	var entries []outcome
 	counts := map[string]int{}
 	for _, sql := range candidates {
-		fixed := sql
-		if fix {
-			var ok bool
-			fixed, ok = f.Adapt(sql)
-			if !ok {
-				continue
+		o, seen := memo[sql]
+		if !seen {
+			o = outcome{sql: sql}
+			var res *sqlexec.Result
+			if fix {
+				o.sql, res = f.adapt(sql)
+			} else if r, err := sqlexec.Shared.Exec(db, sql); err == nil {
+				res = r
 			}
+			if res != nil {
+				o.sig, o.ok = Signature(res), true
+			}
+			memo[sql] = o
 		}
-		res, err := sqlexec.Shared.Exec(db, fixed)
-		if err != nil {
+		if !o.ok {
 			continue
 		}
-		sig := Signature(res)
-		entries = append(entries, entry{fixed, sig})
-		counts[sig]++
+		entries = append(entries, o)
+		counts[o.sig]++
 	}
 	if len(entries) == 0 {
 		return "", false

@@ -3,33 +3,21 @@ package adaption
 import (
 	"testing"
 
-	"repro/internal/spider"
+	"repro/internal/benchfix"
 	"repro/internal/sqlexec"
 )
 
 // BenchmarkConsistencyVote measures the Section IV-D2 execution-consistency
-// vote — the second-hottest repeat-execution loop after the TS metric. The
-// candidate set mirrors self-consistency sampling: duplicates dominate, so
-// the shared plan cache turns most candidate executions into plan-cache
-// hits. The Uncached variant resets the shared cache every iteration to
-// expose the pre-refactor parse+plan-per-candidate cost.
-
-func voteFixture(b *testing.B) (*spider.Corpus, []string) {
-	b.Helper()
-	c := spider.GenerateSmall(123, 0.05)
-	e := c.Dev.Examples[0]
-	base := e.GoldSQL
-	candidates := []string{
-		base, base, base, // self-consistency duplicates
-		"SELECT nonexistent FROM " + e.Gold.From.Base.Table, // repairable/failing
-		base,
-	}
-	return c, candidates
-}
+// vote over a 30-sample self-consistency list (benchfix.VoteCandidates, the
+// same fixture as cmd/benchmarks' pipeline_vote). Duplicates dominate, so
+// each distinct candidate is parsed, planned and executed once per vote.
+// The Uncached variant resets the shared plan cache every iteration; with
+// repair on the vote does not use that cache, so the two should read the
+// same, and a gap between them means the vote has started to depend on it.
 
 func BenchmarkConsistencyVote(b *testing.B) {
-	c, candidates := voteFixture(b)
-	db := c.Dev.Examples[0].DB
+	db, candidates := benchfix.VoteCandidates()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := Vote(db, candidates, true); !ok {
@@ -39,11 +27,11 @@ func BenchmarkConsistencyVote(b *testing.B) {
 }
 
 func BenchmarkConsistencyVoteUncached(b *testing.B) {
-	c, candidates := voteFixture(b)
-	db := c.Dev.Examples[0].DB
+	db, candidates := benchfix.VoteCandidates()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sqlexec.Shared.Reset() // every candidate pays parse + plan
+		sqlexec.Shared.Reset()
 		if _, ok := Vote(db, candidates, true); !ok {
 			b.Fatal("vote found no executable candidate")
 		}

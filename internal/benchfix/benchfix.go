@@ -1,15 +1,19 @@
-// Package benchfix holds the synthetic benchmark fixture shared by the
-// executor micro-benchmarks (internal/sqlexec/bench_test.go) and the
-// machine-readable CI harness (cmd/benchmarks -json). Keeping one fixture
-// guarantees the BENCH_executor.json artifact measures exactly the workload
-// the in-repo benchmarks of the same name measure.
+// Package benchfix holds the synthetic benchmark fixtures shared by the
+// in-repo micro-benchmarks (internal/sqlexec, internal/adaption,
+// internal/catalog) and the machine-readable CI harness (cmd/benchmarks
+// -json). Keeping one fixture guarantees each BENCH_*.json artifact
+// measures exactly the workload the in-repo benchmark of the same shape
+// measures.
 package benchfix
 
 import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/llm"
+	"repro/internal/prompt"
 	"repro/internal/schema"
+	"repro/internal/spider"
 )
 
 // JoinHeavySQL is the equi-join-heavy workload: a three-table FK chain with
@@ -44,6 +48,24 @@ const (
 	// re-execution benchmarks cycle through, the TS-metric shape.
 	ReexecInstances = 6
 )
+
+// VoteCandidates is the consistency-vote fixture: the 30 completions the
+// simulated ChatGPT samples for a zero-shot prompt on one dev task of a
+// small corpus (Consistency = 30, the paper's default), and that task's
+// database. Like a real vote, the list is mostly duplicates: 4 distinct
+// texts, 2 of which fail execution as sampled and go through repair.
+func VoteCandidates() (*schema.Database, []string) {
+	c := spider.GenerateSmall(123, 0.05)
+	e := c.Dev.Examples[4]
+	resp := llm.NewSim(llm.ChatGPT).Complete(llm.Request{
+		Prompt:         prompt.Build("", nil, e.DB, e.NL, 0).Text,
+		N:              30,
+		Task:           e,
+		SchemaInPrompt: e.DB,
+		Seed:           int64(e.ID),
+	})
+	return e.DB, resp.SQLs
+}
 
 // DemoSpec is one tenant demonstration (NL question + gold SQL) for the
 // catalog benchmarks. It deliberately avoids importing internal/catalog so

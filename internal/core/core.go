@@ -175,6 +175,10 @@ func (p *Pipeline) Predictor() *predictor.Model { return p.pred }
 // Hierarchy exposes the constructed automaton hierarchy.
 func (p *Pipeline) Hierarchy() *automaton.Hierarchy { return p.hier }
 
+// Demos exposes the pre-rendered demonstration pool, aligned with the
+// training set; selection indexes point into it. Callers must not modify it.
+func (p *Pipeline) Demos() []prompt.Demo { return p.demos }
+
 // Translate runs the full pipeline on one task.
 func (p *Pipeline) Translate(e *spider.Example) Translation {
 	return p.TranslateContext(context.Background(), e)
@@ -234,15 +238,12 @@ func (p *Pipeline) TranslateContext(ctx context.Context, e *spider.Example) Tran
 	} else {
 		order = rng.Perm(len(p.demos)) // the -Demonstration Selection ablation
 	}
-	demos := make([]prompt.Demo, 0, len(order))
-	for _, i := range order {
-		demos = append(demos, p.demos[i])
-	}
-	ssp.SetAttrs(trace.Int("candidates", int64(len(demos))))
+	ssp.SetAttrs(trace.Int("candidates", int64(len(order))))
 	ssp.Finish()
 
-	// Step 4: prompt assembly and LLM inference.
-	built := prompt.Build("", demos, taskDB, e.NL, p.cfg.PromptTokens)
+	// Step 4: prompt assembly and LLM inference. BuildOrdered reads the
+	// demos in place: the budget stops long before the ordered pool ends.
+	built := prompt.BuildOrdered("", p.demos, order, taskDB, e.NL, p.cfg.PromptTokens)
 	n := p.cfg.Consistency
 	if n <= 0 {
 		n = 1

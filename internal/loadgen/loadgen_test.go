@@ -52,7 +52,11 @@ func testService(t *testing.T) (*httptest.Server, *metrics.Registry) {
 		service.WithCache(cache),
 		service.WithMetrics(reg),
 		service.WithCatalog(cat),
-		service.WithJobs(jobs.Config{Runners: 1, Queue: 8, TTL: -1}),
+		// /v1/jobs answers 202 at admission, so the closed loop submits jobs
+		// as fast as the server answers its other requests: a few hundred
+		// in TestClosedLoopRun's 400 ms. The queue holds all of them, so
+		// that run sees no 429 from admission control.
+		service.WithJobs(jobs.Config{Runners: 1, Queue: 1024, TTL: -1}),
 		service.WithTracer(tr),
 	)
 	srv := httptest.NewServer(s.Handler())

@@ -43,6 +43,20 @@ type Result struct {
 // first); demonstrations are added in preference order until the budget is
 // exhausted. maxTokens <= 0 means unlimited.
 func Build(instructions string, demos []Demo, taskDB *schema.Database, nl string, maxTokens int) Result {
+	return build(instructions, len(demos), func(i int) *Demo { return &demos[i] }, taskDB, nl, maxTokens)
+}
+
+// BuildOrdered is Build over the demonstrations pool[order[0]],
+// pool[order[1]], ... without materialising that slice. The budget usually
+// stops the fill after a few dozen demos, so callers holding a whole
+// ordered pool pay only for the demos that are rendered.
+func BuildOrdered(instructions string, pool []Demo, order []int, taskDB *schema.Database, nl string, maxTokens int) Result {
+	return build(instructions, len(order), func(i int) *Demo { return &pool[order[i]] }, taskDB, nl, maxTokens)
+}
+
+// build is the one budget loop behind Build and BuildOrdered: demo(i) yields
+// the i-th of n demonstrations in preference order.
+func build(instructions string, n int, demo func(int) *Demo, taskDB *schema.Database, nl string, maxTokens int) Result {
 	var task strings.Builder
 	task.WriteString(TaskHeader)
 	task.WriteByte('\n')
@@ -58,7 +72,8 @@ func Build(instructions string, demos []Demo, taskDB *schema.Database, nl string
 	budget := maxTokens - Tokens(task.String()) - Tokens(sb.String())
 
 	used := 0
-	for _, d := range demos {
+	for i := 0; i < n; i++ {
+		d := demo(i)
 		var ds strings.Builder
 		ds.WriteString(DemoHeader)
 		ds.WriteByte('\n')

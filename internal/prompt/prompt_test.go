@@ -98,3 +98,36 @@ func TestTaskSchemaSize(t *testing.T) {
 		t.Errorf("TaskSchemaSize = %d tables, %d cols; want 1, 2", tables, cols)
 	}
 }
+
+// TestBuildOrderedMatchesBuild: BuildOrdered over (pool, order) renders the
+// same prompt as Build over the materialised slice — unlimited budget, a
+// budget that cuts the list mid-way, and an empty order.
+func TestBuildOrderedMatchesBuild(t *testing.T) {
+	var pool []Demo
+	for i := 0; i < 12; i++ {
+		pool = append(pool, Demo{
+			DB:  demoDB(),
+			NL:  "How many singers are named " + strings.Repeat("x", i) + "?",
+			SQL: "SELECT COUNT(*) FROM singer WHERE name = '" + strings.Repeat("x", i) + "'",
+		})
+	}
+	orders := [][]int{nil, {}, {3}, {11, 0, 5, 5, 2, 9, 1, 7, 4, 10, 8, 6, 3}}
+	for _, order := range orders {
+		demos := make([]Demo, 0, len(order))
+		for _, i := range order {
+			demos = append(demos, pool[i])
+		}
+		for _, maxTokens := range []int{0, 250, 100000} {
+			want := Build("-- inst", demos, demoDB(), "List names.", maxTokens)
+			got := BuildOrdered("-- inst", pool, order, demoDB(), "List names.", maxTokens)
+			if got != want {
+				t.Errorf("order %v, maxTokens %d: BuildOrdered = %+v, Build = %+v", order, maxTokens, got, want)
+			}
+		}
+	}
+	// The mid-list budget must actually cut the longest order short.
+	long := orders[len(orders)-1]
+	if r := BuildOrdered("-- inst", pool, long, demoDB(), "List names.", 250); r.DemosUsed == 0 || r.DemosUsed >= len(long) {
+		t.Errorf("budget 250 used %d of %d demos, want a cut mid-list", r.DemosUsed, len(long))
+	}
+}

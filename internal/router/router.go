@@ -696,10 +696,11 @@ func (rt *Router) dispatch(r *http.Request, body []byte, key string) (*upstreamR
 }
 
 // hedgedOnce races the primary against a delayed duplicate on the replica
-// successor. First usable response wins and the loser's context is
-// cancelled. A hedge 404 while the primary is still in flight is held back
-// — the replica may simply not host the tenant — and only used if the
-// primary fails outright.
+// successor. First usable response wins; the loser's context is cancelled
+// and the loser awaited, so its attempt span is in the trace before the
+// response goes out. A hedge 404 while the primary is still in flight is
+// held back — the replica may simply not host the tenant — and only used if
+// the primary fails outright.
 func (rt *Router) hedgedOnce(ctx context.Context, r *http.Request, body []byte, primary, successor string, delay time.Duration) (*upstreamResponse, error) {
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
@@ -735,6 +736,9 @@ func (rt *Router) hedgedOnce(ctx context.Context, r *http.Request, body []byte, 
 			pdone = true
 			if pr.err == nil {
 				hcancel()
+				if !hdone {
+					<-hch // the cancelled hedge finishes its span before the root does
+				}
 				rt.mHedgeLos.Inc()
 				root.SetAttrs(trace.Str("hedge_outcome", "loss"))
 				return pr.res, nil
@@ -756,6 +760,9 @@ func (rt *Router) hedgedOnce(ctx context.Context, r *http.Request, body []byte, 
 					continue
 				}
 				pcancel()
+				if !pdone {
+					<-pch // the cancelled primary finishes its span before the root does
+				}
 				rt.mHedgeWin.Inc()
 				root.SetAttrs(trace.Str("hedge_outcome", "win"))
 				return hr.res, nil

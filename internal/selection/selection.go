@@ -96,8 +96,21 @@ func Select(h *automaton.Hierarchy, predSkeletons [][]string, opts Options) []in
 		}
 	}
 
-	selected := []int{}
-	seen := map[int]bool{}
+	// seen is a dense set over demo indexes: FillPool spans the whole
+	// demonstration pool, so a map would be probed once per pooled demo on
+	// every call. mark grows it when a match index falls past FillPool.
+	selected := make([]int, 0, len(opts.FillPool))
+	seen := make([]bool, len(opts.FillPool))
+	mark := func(d int) bool {
+		if d >= len(seen) {
+			seen = append(seen, make([]bool, d+1-len(seen))...)
+		}
+		if seen[d] {
+			return false
+		}
+		seen[d] = true
+		return true
+	}
 	p := policy.P0
 	for {
 		remaining := false
@@ -124,8 +137,7 @@ func Select(h *automaton.Hierarchy, predSkeletons [][]string, opts Options) []in
 			for c.next < len(c.matches) {
 				d := c.matches[c.next]
 				c.next++
-				if !seen[d] {
-					seen[d] = true
+				if mark(d) {
 					selected = append(selected, d)
 					break
 				}
@@ -140,9 +152,7 @@ func Select(h *automaton.Hierarchy, predSkeletons [][]string, opts Options) []in
 	if opts.FillPool != nil && opts.Rng != nil {
 		perm := opts.Rng.Perm(len(opts.FillPool))
 		for _, i := range perm {
-			d := opts.FillPool[i]
-			if !seen[d] {
-				seen[d] = true
+			if d := opts.FillPool[i]; mark(d) {
 				selected = append(selected, d)
 			}
 		}
